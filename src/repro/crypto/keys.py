@@ -58,7 +58,10 @@ def _x3dh_key(dh1: int, dh2: int, dh3: int) -> bytes:
 
 
 def _require_group_element(value: int, what: str) -> None:
-    if not 1 < value < P:
+    # P = 2Q + 1: P - 1 has order 2, so it would pin every shared
+    # element to +-1. Honest elements g^x lie in the order-Q subgroup
+    # and are never P - 1.
+    if not 1 < value < P - 1:
         raise ConfigurationError(f"{what} out of range")
 
 
@@ -132,8 +135,7 @@ class KeyRing:
 
     def pairwise_key(self, peer_exchange_public: int) -> bytes:
         """Shared symmetric key with the peer holding the given DH element."""
-        if not 1 < peer_exchange_public < P:
-            raise ConfigurationError("peer exchange element out of range")
+        _require_group_element(peer_exchange_public, "peer exchange element")
         shared = pow(peer_exchange_public, self._exchange_secret, P)
         size = (P.bit_length() + 7) // 8
         return sha256(b"pairwise" + shared.to_bytes(size, "big"))[:KEY_SIZE]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from ..commons import kernels
 from ..commons.anonymize import GeneralizedRecord, k_anonymize
@@ -112,29 +112,49 @@ _DEMOTED = "demoted"
 
 
 class _RunState:
-    """Mutable per-query bookkeeping (one instance per run)."""
+    """Mutable per-query bookkeeping (one instance per run).
+
+    ``children`` are the endpoints the run collects answers from: the
+    roster's cells for a flat or regional coordinator, the region
+    addresses for the tree root. ``cell_status`` is the per-cell view
+    that settle and the result read — the child statuses themselves
+    when the children are cells; the root expands its regions' reports
+    into it at settle.
+    """
 
     def __init__(self, tag: str, spec: FedQuerySpec, roster: list[str],
-                 round_tag: str, neighbors: int | None) -> None:
+                 round_tag: str, neighbors: int | None,
+                 children: list[str] | None = None) -> None:
         self.tag = tag
         self.spec = spec
         self.roster = roster
         self.round_tag = round_tag
         self.neighbors = neighbors
-        self.status: dict[str, str] = {name: _PENDING for name in roster}
+        self.children = roster if children is None else children
+        self.status: dict[str, str] = dict.fromkeys(self.children, _PENDING)
+        self.cell_status = self.status
+        # Children still unanswered, kept by resolve() so collected()
+        # costs O(1) per answer.
+        self.pending = len(self.children)
         self.payloads: dict[str, Any] = {}
         self.plans: dict[str, str] = {}
         self.examined = 0
-        self.attempts: dict[str, int] = {name: 1 for name in roster}
+        self.attempts: dict[str, int] = dict.fromkeys(self.children, 1)
         self.reasks = 0
         self.messages = 0
         self.bytes = 0
         self.view: list[Any] = []
         self.phase = "collect"
-        self.masks: dict[str, int] = {}
+        self.masks: dict[str, Any] = {}
         self.mask_attempts: dict[str, int] = {}
+        # The children recovery waits on, fixed when recovery starts
+        # (an ordered dict: O(1) membership, stable shipping order).
+        self.targets: dict[str, None] = {}
         self.missing: list[str] = []
         self.recovery_rounds = 0
+        # A child's report that nothing is releasable (the root's
+        # regions send one when their survivors' masks are lost).
+        self.failed: str | None = None
         self.started_at = 0
         self.deadline_handle = None
         self.result: FedQueryResult | None = None
@@ -142,18 +162,45 @@ class _RunState:
         # are per-query, once per phase).
         self.phases_seen: set[str] = set()
 
-    def resolved(self, name: str) -> bool:
-        return self.status[name] != _PENDING
+    def resolve(self, child: str, status: str) -> None:
+        if self.status[child] == _PENDING:
+            self.pending -= 1
+        self.status[child] = status
+
+    def resolved(self, child: str) -> bool:
+        return self.status[child] != _PENDING
 
     def collected(self) -> bool:
-        return all(status != _PENDING for status in self.status.values())
+        return self.pending == 0
+
+    def ok_children(self) -> list[str]:
+        return [child for child in self.children
+                if self.status[child] == STATUS_OK]
 
     def ok_cells(self) -> list[str]:
-        return [name for name in self.roster if self.status[name] == STATUS_OK]
+        return [name for name in self.roster
+                if self.cell_status[name] == STATUS_OK]
 
 
 class Coordinator:
-    """Runs federated queries over a roster of cell endpoints."""
+    """Runs federated queries over a roster of cell endpoints.
+
+    This is the one collect / settle / recover machine of the package.
+    The regions and the root of the coordinator tree and the standing
+    coordinator subclass it and override only the hooks below that
+    differ by level: what a child is sent (:meth:`_plan_for`,
+    :meth:`_recover_for`), how its answers are journaled and folded in
+    (:meth:`_record`, :meth:`_apply`), which survivors recovery waits
+    on (:meth:`_recover_targets`), and how the answers combine.
+    """
+
+    #: Prefix of this level's query tags.
+    _tag_prefix = "fq"
+    #: Prefix of this level's span and event names.
+    _obs_name = "fedquery"
+    #: The message kinds that carry a child's answer and net mask.
+    _partial_kind = MSG_PARTIAL
+    _mask_kind = MSG_MASK
 
     def __init__(
         self,
@@ -229,13 +276,19 @@ class Coordinator:
         cell will see; offline or unresponsive members are handled by
         the re-ask/demote/recover machinery, not by the caller.
         """
+        return self._await(self._launch(spec, roster, round_tag))
+
+    def _launch(self, spec: FedQuerySpec, roster: list[str],
+                round_tag: str | None) -> str:
+        """Start one query: journal it, fan it out, arm its deadline."""
         if not roster:
             raise ConfigurationError("the roster needs at least one cell")
         if len(set(roster)) != len(roster):
             raise ConfigurationError("roster names must be unique")
         self._sequence += 1
-        tag = f"fq{self._sequence}|{spec.recipient}|{spec.purpose}"
-        state = _RunState(
+        tag = (f"{self._tag_prefix}{self._sequence}|"
+               f"{spec.recipient}|{spec.purpose}")
+        state = self._make_state(
             tag, spec, list(roster),
             round_tag if round_tag is not None
             else f"{spec.recipient}|{spec.purpose}",
@@ -244,26 +297,27 @@ class Coordinator:
         state.started_at = self.world.now
         self._active[tag] = state
         self.journal.append(self._start_record(state))
-
+        shape = self._shape(state)
         with self._tracer.span(
-            "fedquery.fanout", tag=tag, transform=spec.transform,
-            roster=len(roster),
+            f"{self._obs_name}.fanout", tag=tag, transform=spec.transform,
+            roster=len(roster), **shape,
         ):
-            for name in roster:
-                self._ship(state, name)
+            for child in state.children:
+                self._ship(state, child)
         self._notify_phase(state, "fanout")
         self._events.emit(
-            "fedquery.start", tag=tag, transform=spec.transform,
-            roster=len(roster),
+            f"{self._obs_name}.start", tag=tag, transform=spec.transform,
+            roster=len(roster), **shape,
         )
-        state.deadline_handle = self.world.loop.schedule_in(
-            self.collect_timeout_s, lambda: self._collect_deadline(state),
-            label=f"fq deadline {tag}",
-        )
+        self._arm_collect(state)
+        return tag
+
+    def _await(self, tag: str) -> FedQueryResult:
+        """Drive the loop to the horizon and collect ``tag``'s result."""
         self.world.loop.run_until(self.world.now + self._horizon_s())
         # Read the reply channel, not the state object: a crash and
         # restart mid-query rebuilds _RunState from the journal, so the
-        # instance created above may not be the one that settled.
+        # instance created at launch may not be the one that settled.
         result = self._results.pop(tag, None)
         if result is None:
             raise ProtocolError(f"federated query {tag!r} did not settle")
@@ -296,6 +350,106 @@ class Coordinator:
                 slack += (spec.restart_after_s or 0) + episode
         return slack
 
+    # -- per-level hooks -------------------------------------------------------
+
+    def _make_state(self, tag: str, spec: FedQuerySpec, roster: list[str],
+                    round_tag: str, neighbors: int | None) -> _RunState:
+        """A fresh run state; the root makes its regions the children."""
+        return _RunState(tag, spec, roster, round_tag, neighbors)
+
+    def _shape(self, state: _RunState) -> dict[str, Any]:
+        """Extra span and event fields (the root adds its region count)."""
+        return {}
+
+    def _plan_for(self, state: _RunState, name: str) -> dict[str, Any]:
+        """The plan message for one child. The tree's regions override
+        this to ship an O(k) roster *window* instead of the full
+        roster; the root ships a shard plan."""
+        return plan_message(
+            state.tag, state.spec, state.roster, self.address,
+            round_tag=state.round_tag, neighbors=state.neighbors,
+        )
+
+    def _recover_for(self, state: _RunState, name: str) -> dict[str, Any]:
+        """The mask-recovery request for one child."""
+        return recover_message(state.tag, 1, state.missing, self.address)
+
+    def _revive(self, state: _RunState, name: str) -> None:
+        """Called before any re-ship to a child; the root respawns a
+        crashed region here."""
+
+    def _record(self, state: _RunState, kind: str, name: str,
+                message: dict[str, Any] | None = None,
+                size: int = 0) -> dict[str, Any]:
+        """The journal record of a child's partial, mask or demotion."""
+        if kind == REC_DEMOTE:
+            return {"type": kind, "tag": state.tag, "cell": name}
+        if kind == REC_MASK:
+            return {"type": kind, "tag": state.tag, "from": name,
+                    "net_mask": message["net_mask"], "size": size}
+        status = message["status"]
+        return {
+            "type": kind, "tag": state.tag, "from": name, "status": status,
+            "payload": message["payload"] if status == STATUS_OK else None,
+            "plan": message.get("plan"),
+            "examined": message.get("examined", 0), "size": size,
+        }
+
+    def _apply(self, state: _RunState, record: dict[str, Any]) -> None:
+        """Fold one child record into the state — live, right after it
+        is journaled, and on replay alike."""
+        if record["type"] == REC_DEMOTE:
+            state.resolve(record["cell"], _DEMOTED)
+            return
+        name = record["from"]
+        state.messages += 1
+        state.bytes += record.get("size", 0)
+        if record["type"] == REC_MASK:
+            state.masks[name] = record["net_mask"]
+            state.view.append(record["net_mask"])
+            return
+        state.resolve(name, record["status"])
+        if record["status"] == STATUS_OK:
+            state.payloads[name] = record["payload"]
+            state.plans[name] = record["plan"]
+            state.examined += record.get("examined", 0)
+            state.view.append(record["payload"])
+
+    def _cell_statuses(self, state: _RunState) -> dict[str, str]:
+        """Per-cell statuses at settle; the root expands its regions'."""
+        return state.status
+
+    def _recover_targets(self, state: _RunState) -> list[str]:
+        """The survivors whose net masks recovery waits on, asked once
+        when recovery starts. The tree's regions narrow this to
+        ring-relevant survivors."""
+        return state.ok_children()
+
+    def _masked_parts(self, state: _RunState) -> list[int]:
+        """The field elements whose sum is the unmasked total."""
+        return [
+            state.payloads[name]["masked"] for name in state.ok_children()
+        ] + list(state.masks.values())
+
+    def _sealed_parts(self, state: _RunState) -> list[tuple[str, str]]:
+        """The sealed record batches of a ``records-kanon`` release."""
+        return [
+            (name, state.payloads[name]["blob"])
+            for name in state.ok_children()
+            if state.payloads[name]["blob"] is not None
+        ]
+
+    def _accounting(self, state: _RunState) -> dict[str, Any]:
+        """The result's plan mix and traffic counts."""
+        plan_mix: dict[str, int] = {}
+        for plan in state.plans.values():
+            plan_mix[plan] = plan_mix.get(plan, 0) + 1
+        return {
+            "plan_mix": plan_mix, "records_examined": state.examined,
+            "messages": state.messages, "bytes": state.bytes,
+            "reasks": state.reasks,
+        }
+
     # -- crash and restart -----------------------------------------------------
 
     @property
@@ -322,7 +476,8 @@ class Coordinator:
         The journal (durable by contract) and the reply channel keep
         their contents; everything else — active states, deadlines,
         retry ladders — dies. In-flight deliveries already scheduled by
-        the network die at the handler's crash guard.
+        the network die at the handler's crash guard. Other levels of a
+        tree are separate processes and keep running.
         """
         if self._crashed:
             return
@@ -340,9 +495,9 @@ class Coordinator:
 
     def restart(self) -> None:
         """Come back: rebuild every unfinished run from the journal and
-        resume it (re-ship to unresolved cells, re-arm deadlines). Cells
-        replay their cached partials bit-for-bit, so resumed re-asks are
-        idempotent. No-op unless crashed."""
+        resume it (re-ship to unresolved children, re-arm deadlines).
+        Children replay their cached answers bit-for-bit, so resumed
+        re-asks are idempotent. No-op unless crashed."""
         if not self._crashed:
             return
         self._crashed = False
@@ -381,81 +536,60 @@ class Coordinator:
             "sequence": self._sequence, "at": state.started_at,
         }
 
-    def _restore_state(self, start: dict[str, Any],
-                       records: list[dict[str, Any]]) -> _RunState:
-        state = _RunState(
+    def _state_from_start(self, start: dict[str, Any]) -> _RunState:
+        return self._make_state(
             start["tag"], FedQuerySpec.from_wire(start["spec"]),
             list(start["roster"]), start["round_tag"], start["neighbors"],
         )
+
+    def _restore_state(self, start: dict[str, Any],
+                       records: list[dict[str, Any]]) -> _RunState:
+        state = self._state_from_start(start)
         state.started_at = int(start.get("at", 0))
         self._sequence = max(self._sequence, int(start.get("sequence", 0)))
         for record in records[1:]:
             kind = record["type"]
-            if kind == REC_PARTIAL:
-                name = record["from"]
-                state.status[name] = record["status"]
-                state.messages += 1
-                state.bytes += record.get("size", 0)
-                if record["status"] == STATUS_OK:
-                    state.payloads[name] = record["payload"]
-                    state.plans[name] = record["plan"]
-                    state.examined += record.get("examined", 0)
-                    state.view.append(record["payload"])
-            elif kind == REC_DEMOTE:
-                state.status[record["cell"]] = _DEMOTED
-            elif kind == REC_RECOVER:
+            if kind == REC_RECOVER:
                 state.phase = "recover"
                 state.recovery_rounds = 1
                 state.missing = list(record["missing"])
-            elif kind == REC_MASK:
-                state.masks[record["from"]] = record["net_mask"]
-                state.messages += 1
-                state.bytes += record.get("size", 0)
-                state.view.append(record["net_mask"])
+            elif kind in (REC_PARTIAL, REC_DEMOTE, REC_MASK):
+                self._apply(state, record)
+        if state.phase == "recover":
+            # The journal holds every input settle had.
+            state.cell_status = self._cell_statuses(state)
+            state.targets = dict.fromkeys(self._recover_targets(state))
         return state
-
-    def _recover_targets(self, state: _RunState) -> list[str]:
-        """The survivors whose net masks recovery waits on. The tree's
-        regions narrow this to ring-relevant survivors."""
-        return state.ok_cells()
 
     def _resume(self, state: _RunState) -> None:
         if state.phase == "collect":
             if state.collected():
                 self._settle(state)
                 return
-            for name in state.roster:
+            for name in state.children:
                 if not state.resolved(name):
                     state.attempts[name] = 1  # the ladder restarts too
+                    self._revive(state, name)
                     self._ship(state, name)
-            state.deadline_handle = self.world.loop.schedule_in(
-                self.collect_timeout_s,
-                lambda: self._collect_deadline(state),
-                label=f"fq deadline {state.tag} (resumed)",
-            )
+            self._arm_collect(state)
             return
         self._resume_recovery(state)
 
     def _resume_recovery(self, state: _RunState) -> None:
-        targets = self._recover_targets(state)
-        if len(state.masks) >= len(targets):
+        if state.failed:
+            # A child reported unrecoverable masks just before the
+            # crash: the abandon is already decided, finish it.
+            self._finalize(state, failure=state.failed)
+            return
+        if len(state.masks) >= len(state.targets):
             self._masks_complete(state)
             return
-        for name in targets:
+        for name in state.targets:
             if name not in state.masks:
                 state.mask_attempts[name] = 1
-                self._ship_recover(
-                    state, name,
-                    recover_message(
-                        state.tag, state.recovery_rounds or 1,
-                        state.missing, self.address,
-                    ),
-                )
-        self.world.loop.schedule_in(
-            self.recovery_timeout_s,
-            lambda: self._recovery_deadline(state),
-            label=f"fq recover deadline {state.tag} (resumed)",
-        )
+                self._revive(state, name)
+                self._ship_recover(state, name)
+        self._arm_recovery(state)
 
     def _result_from_wire(self, wire: dict[str, Any]) -> FedQueryResult:
         sealed = wire.get("sealed_records")
@@ -467,41 +601,65 @@ class Coordinator:
 
     # -- fan-out and re-asks ---------------------------------------------------
 
-    def _plan_for(self, state: _RunState, name: str) -> dict[str, Any]:
-        """The plan message for one cell. The tree's regions override
-        this to ship an O(k) roster *window* instead of the full
-        roster."""
-        return plan_message(
-            state.tag, state.spec, state.roster, self.address,
-            round_tag=state.round_tag, neighbors=state.neighbors,
-        )
-
     def _ship(self, state: _RunState, name: str) -> None:
-        message = self._plan_for(state, name)
-        size = wire_size(message)
         self._plans_metric.inc()
+        self._send(state, name, self._plan_for(state, name))
+
+    def _ship_recover(self, state: _RunState, name: str) -> None:
+        self._send(state, name, self._recover_for(state, name))
+
+    def _send(self, state: _RunState, name: str,
+              message: dict[str, Any]) -> None:
+        """Bill one outbound message to the run and send it."""
+        size = wire_size(message)
         self._bytes_metric.inc(size)
         state.messages += 1
         state.bytes += size
         try:
             self.network.send(self.address, name, message, size_bytes=size)
         except CellOfflineError:
-            pass  # stays pending; the deadline's re-ask chain owns it
+            pass  # stays unanswered; the deadline's re-ask chain owns it
+
+    def _clocked(self, callback: Callable[[], None]) -> Callable[[], None]:
+        """Every loop callback this coordinator schedules passes here;
+        the tree root wraps them in the clock that times its own code."""
+        return callback
+
+    def _arm_collect(self, state: _RunState) -> None:
+        state.deadline_handle = self.world.loop.schedule_in(
+            self.collect_timeout_s,
+            self._clocked(lambda: self._collect_deadline(state)),
+            label=f"fq deadline {state.tag}",
+        )
+
+    def _arm_recovery(self, state: _RunState) -> None:
+        self.world.loop.schedule_in(
+            self.recovery_timeout_s,
+            self._clocked(lambda: self._recovery_deadline(state)),
+            label=f"fq recover deadline {state.tag}",
+        )
+
+    def _retry(self, attempt: int, callback: Callable[[], None],
+               label: str) -> Any:
+        """Schedule the next rung of a re-ask ladder (None: budget spent)."""
+        return schedule_retry(
+            self.world, self.retry_policy, attempt, self._clocked(callback),
+            rng=self._retry_rng, label=label,
+        )
 
     def _collect_deadline(self, state: _RunState) -> None:
         if state.phase != "collect":
             return
-        for name in state.roster:
+        for name in state.children:
             if not state.resolved(name):
                 self._reask(state, name)
 
     def _reask(self, state: _RunState, name: str) -> None:
         if state.phase != "collect" or state.resolved(name):
             return
-        handle = schedule_retry(
-            self.world, self.retry_policy, state.attempts[name],
-            lambda: self._reask(state, name),
-            rng=self._retry_rng, label=f"fq reask {name}",
+        handle = self._retry(
+            state.attempts[name], lambda: self._reask(state, name),
+            f"fq reask {name}",
         )
         if handle is None:
             self._demote(state, name)
@@ -509,18 +667,19 @@ class Coordinator:
         state.attempts[name] += 1
         state.reasks += 1
         self._reasks_metric.inc()
+        self._revive(state, name)
         self._ship(state, name)
 
     def _demote(self, state: _RunState, name: str) -> None:
-        self.journal.append({
-            "type": REC_DEMOTE, "tag": state.tag, "cell": name,
-        })
+        record = self._record(state, REC_DEMOTE, name)
+        self.journal.append(record)
         if state.phase != "collect":
             return  # the journal hook crashed us mid-append
-        state.status[name] = _DEMOTED
+        self._apply(state, record)
         self._demotions_metric.inc()
-        self._events.emit("fedquery.demote", tag=state.tag, cell=name,
-                          attempts=state.attempts[name])
+        fields = dict(record, attempts=state.attempts[name])
+        del fields["type"]
+        self._events.emit(f"{self._obs_name}.demote", **fields)
         if state.collected():
             self._settle(state)
 
@@ -535,73 +694,58 @@ class Coordinator:
         if state is None:
             return
         kind = payload.get("kind")
-        if kind == MSG_PARTIAL:
+        if kind == self._partial_kind:
             self._on_partial(state, payload)
-        elif kind == MSG_MASK:
+        elif kind == self._mask_kind:
             self._on_mask(state, payload)
 
     def _on_partial(self, state: _RunState, message: dict[str, Any]) -> None:
         name = message["from"]
-        if state.phase != "collect" or name not in state.status \
-                or state.resolved(name):
-            return  # duplicate, late (post-demotion), or off-roster
+        if state.phase != "collect" or state.status.get(name) != _PENDING:
+            return  # duplicate, late (post-demotion), or not a child
         if self._notify_phase(state, "collect"):
             return  # crashed mid-collect: this delivery dies unrecorded
         size = wire_size(message)
-        status = message["status"]
-        self.journal.append({
-            "type": REC_PARTIAL, "tag": state.tag, "from": name,
-            "status": status,
-            "payload": message["payload"] if status == STATUS_OK else None,
-            "plan": message.get("plan"),
-            "examined": message.get("examined", 0), "size": size,
-        })
+        record = self._record(state, REC_PARTIAL, name, message, size)
+        self.journal.append(record)
         if state.phase != "collect":
             return  # the journal hook crashed us mid-append
-        state.messages += 1
-        state.bytes += size
         self._bytes_metric.inc(size)
-        self._partials_metric.labels(status=status).inc()
-        state.status[name] = status
-        if status == STATUS_OK:
-            state.payloads[name] = message["payload"]
-            state.plans[name] = message["plan"]
-            state.examined += message["examined"]
-            state.view.append(message["payload"])
+        if self._partials_metric is not None:
+            self._partials_metric.labels(status=message["status"]).inc()
+        self._apply(state, record)
         if state.collected():
             self._settle(state)
 
     def _on_mask(self, state: _RunState, message: dict[str, Any]) -> None:
         name = message["from"]
         if state.phase != "recover" or name in state.masks \
-                or name not in state.status:
+                or name not in state.targets:
             return
         size = wire_size(message)
-        self.journal.append({
-            "type": REC_MASK, "tag": state.tag, "from": name,
-            "net_mask": message["net_mask"], "size": size,
-        })
+        record = self._record(state, REC_MASK, name, message, size)
+        self.journal.append(record)
         if state.phase != "recover":
             return  # the journal hook crashed us mid-append
-        state.messages += 1
-        state.bytes += size
         self._bytes_metric.inc(size)
-        state.masks[name] = message["net_mask"]
-        state.view.append(message["net_mask"])
-        if len(state.masks) == len(state.ok_cells()):
+        self._apply(state, record)
+        if state.failed:
+            self._finalize(state, failure=state.failed)
+        elif len(state.masks) == len(state.targets):
             self._masks_complete(state)
 
     def _masks_complete(self, state: _RunState) -> None:
-        """All survivors' net masks are in. Hook for the tree's regions."""
+        """All targets' net masks are in. Hook for the tree's regions."""
         self._finish_numeric(state)
 
     # -- settle: combine, recover, finish --------------------------------------
 
     def _settle(self, state: _RunState) -> None:
-        if state.phase not in ("collect",):
+        if state.phase != "collect":
             return
         if state.deadline_handle is not None:
             state.deadline_handle.cancel()
+        state.cell_status = self._cell_statuses(state)
         ok = state.ok_cells()
         if not ok:
             self._finalize(state, failure="no-participants")
@@ -611,7 +755,8 @@ class Coordinator:
             return
         if state.spec.numeric:
             state.missing = [
-                name for name in state.roster if state.status[name] != STATUS_OK
+                name for name in state.roster
+                if state.cell_status[name] != STATUS_OK
             ]
             if not state.missing:
                 state.phase = "recover"  # vacuous: nothing to recover
@@ -633,39 +778,24 @@ class Coordinator:
         if self._notify_phase(state, "recover") \
                 or state.phase != "recover":
             return  # crashed entering recovery; restart resumes it
-        message_for = {}
-        for name in state.ok_cells():
-            message_for[name] = recover_message(
-                state.tag, 1, state.missing, self.address
-            )
-            state.mask_attempts[name] = 1
+        state.targets = dict.fromkeys(self._recover_targets(state))
         self._events.emit(
-            "fedquery.recover", tag=state.tag, missing=len(state.missing),
-            survivors=len(message_for),
+            f"{self._obs_name}.recover", tag=state.tag,
+            missing=len(state.missing), survivors=len(state.targets),
         )
-        for name, message in message_for.items():
-            self._ship_recover(state, name, message)
-        self.world.loop.schedule_in(
-            self.recovery_timeout_s,
-            lambda: self._recovery_deadline(state),
-            label=f"fq recover deadline {state.tag}",
-        )
-
-    def _ship_recover(self, state: _RunState, name: str,
-                      message: dict[str, Any]) -> None:
-        size = wire_size(message)
-        state.messages += 1
-        state.bytes += size
-        self._bytes_metric.inc(size)
-        try:
-            self.network.send(self.address, name, message, size_bytes=size)
-        except CellOfflineError:
-            pass
+        if not state.targets:
+            # No survivor shares a mask edge with a missing cell.
+            self._masks_complete(state)
+            return
+        for name in state.targets:
+            state.mask_attempts[name] = 1
+            self._ship_recover(state, name)
+        self._arm_recovery(state)
 
     def _recovery_deadline(self, state: _RunState) -> None:
         if state.phase != "recover" or state.result is not None:
             return
-        for name in state.ok_cells():
+        for name in state.targets:
             if name not in state.masks:
                 self._reask_mask(state, name)
 
@@ -673,10 +803,9 @@ class Coordinator:
         if state.phase != "recover" or state.result is not None \
                 or name in state.masks:
             return
-        handle = schedule_retry(
-            self.world, self.retry_policy, state.mask_attempts[name],
-            lambda: self._reask_mask(state, name),
-            rng=self._retry_rng, label=f"fq mask reask {name}",
+        handle = self._retry(
+            state.mask_attempts[name], lambda: self._reask_mask(state, name),
+            f"fq mask reask {name}",
         )
         if handle is None:
             self._mask_recovery_failed(state)
@@ -684,10 +813,8 @@ class Coordinator:
         state.mask_attempts[name] += 1
         state.reasks += 1
         self._reasks_metric.inc()
-        self._ship_recover(
-            state, name,
-            recover_message(state.tag, 1, state.missing, self.address),
-        )
+        self._revive(state, name)
+        self._ship_recover(state, name)
 
     def _mask_recovery_failed(self, state: _RunState) -> None:
         """A survivor's re-ask budget ran out mid-recovery.
@@ -702,26 +829,18 @@ class Coordinator:
     def _finish_numeric(self, state: _RunState) -> None:
         if state.result is not None:
             return
-        total = kernels.accumulate(
-            [state.payloads[name]["masked"] for name in state.ok_cells()]
-            + list(state.masks.values())
-        )
+        total = kernels.accumulate(self._masked_parts(state))
         value = shamir.decode_signed(total) / state.spec.scale
         self._finalize(state, field_total=total, value=value)
 
     def _finish_kanon(self, state: _RunState) -> None:
         released = sum(
-            state.payloads[name]["count"] for name in state.ok_cells()
+            state.payloads[name]["count"] for name in state.ok_children()
         )
         if released < max(state.spec.k, state.spec.min_cohort):
             self._finalize(state, failure="privacy-floor")
             return
-        sealed = [
-            (name, state.payloads[name]["blob"])
-            for name in state.ok_cells()
-            if state.payloads[name]["blob"] is not None
-        ]
-        self._finalize(state, sealed_records=sealed)
+        self._finalize(state, sealed_records=self._sealed_parts(state))
 
     def _finalize(
         self,
@@ -735,58 +854,54 @@ class Coordinator:
         if state.result is not None:
             return
         state.phase = "done"
-        counts = {STATUS_DECLINED: 0, STATUS_FLOOR: 0, _DEMOTED: 0}
+        counts = {STATUS_OK: 0, STATUS_DECLINED: 0, STATUS_FLOOR: 0}
         demoted = []
         for name in state.roster:
-            status = state.status[name]
+            status = state.cell_status.get(name, _DEMOTED)
             if status in counts:
                 counts[status] += 1
-            if status == _DEMOTED:
+            else:
                 demoted.append(name)
-        plan_mix: dict[str, int] = {}
-        for plan in state.plans.values():
-            plan_mix[plan] = plan_mix.get(plan, 0) + 1
         if failure is not None:
             outcome = OUTCOME_ABANDONED
         elif demoted:
             outcome = OUTCOME_PARTIAL
         else:
             outcome = OUTCOME_COMPLETE
+        accounting = self._accounting(state)
         with self._tracer.span(
-            "fedquery.collect", tag=state.tag, transform=state.spec.transform,
+            f"{self._obs_name}.collect", tag=state.tag,
+            transform=state.spec.transform,
         ) as span:
             span.annotate(
-                outcome=outcome, participants=len(state.ok_cells()),
-                demoted=len(demoted), reasks=state.reasks,
+                outcome=outcome, participants=counts[STATUS_OK],
+                demoted=len(demoted), **self._shape(state),
+                reasks=accounting["reasks"],
                 waited_s=self.world.now - state.started_at,
             )
         self._queries_metric.labels(outcome=outcome).inc()
         self._events.emit(
-            "fedquery.settle", tag=state.tag, outcome=outcome,
-            participants=len(state.ok_cells()), demoted=len(demoted),
+            f"{self._obs_name}.settle", tag=state.tag, outcome=outcome,
+            participants=counts[STATUS_OK], demoted=len(demoted),
             failure=failure,
         )
         result = FedQueryResult(
             transform=state.spec.transform,
             tag=state.tag,
             roster_size=len(state.roster),
-            participants=len(state.ok_cells()),
+            participants=counts[STATUS_OK],
             declined=counts[STATUS_DECLINED],
             floored=counts[STATUS_FLOOR],
             demoted=demoted,
             value=value,
             field_total=field_total,
             sealed_records=sealed_records,
-            plan_mix=plan_mix,
-            records_examined=state.examined,
-            messages=state.messages,
-            bytes=state.bytes,
-            reasks=state.reasks,
             recovery_rounds=state.recovery_rounds,
             outcome=outcome,
             failure=failure,
             completed_at=self.world.now,
             coordinator_view=state.view,
+            **accounting,
         )
         # Journal the terminal record *before* publishing: a crash
         # between the two republishes from the journal on restart.

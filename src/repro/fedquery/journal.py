@@ -2,15 +2,20 @@
 
 The paper parks the coordinator on "highly powerful, highly available
 but untrusted infrastructure" — this module makes the *availability*
-half earned instead of assumed. Every coordinator-class endpoint (the
-flat :class:`~repro.fedquery.coordinator.Coordinator`, each
-:class:`~repro.fedquery.hierarchy.RegionalCoordinator`, the
-:class:`~repro.fedquery.hierarchy.HierarchicalCoordinator` root, and
-keymgmt's ``DirectoryService``) appends a record *before* acting on
-the event it describes, and on restart rebuilds its run state from the
-journal alone and resumes. Cells' idempotent cached partials (DP noise
-drawn once per query, masks replayed byte-for-byte) make the resumed
-re-asks bit-for-bit safe.
+half earned instead of assumed. Every fedquery coordinator is one
+state machine (:class:`~repro.fedquery.coordinator.Coordinator`) whose
+children are cells (flat and regional), regions (the tree root) or
+the cells of one window (standing), and keymgmt's ``DirectoryService``
+keeps a journal of its own. Each appends a record *before* acting on
+the event it describes, and on restart rebuilds its run state from
+the journal alone and resumes. The machine replays every level the
+same way: ``start`` opens a run, each ``partial`` / ``demote`` /
+``mask`` record is folded in by the level's ``_apply`` hook (the same
+call the live path makes), ``recover`` enters recovery, and ``done``
+republishes the result. Regions add ``report`` and ``mask_report``,
+their cached upward replies. Children's idempotent caches (cells' DP
+noise drawn once per query and masks replayed byte-for-byte, regions'
+reports replayed verbatim) make the resumed re-asks bit-for-bit safe.
 
 Privacy contract — the journal is **untrusted storage**: it may only
 ever hold what already crossed the egress gate. Records carry masked

@@ -334,7 +334,7 @@ class StandingCoordinator(Coordinator):
         if wtag in self._active:
             return  # re-armed twice across a restart
         wspec = sub.window.windowed_spec(sub.spec, index)
-        state = _RunState(
+        state = self._make_state(
             wtag, wspec, list(sub.roster),
             f"{sub.round_base}|w{index}", sub.neighbors,
         )
@@ -357,11 +357,7 @@ class StandingCoordinator(Coordinator):
             super()._on_message(sender, payload)
         if state.phase != "collect":
             return  # an early partial already settled the window
-        state.deadline_handle = self.world.loop.schedule_in(
-            self.collect_timeout_s,
-            lambda: self._collect_deadline(state),
-            label=f"fq deadline {wtag}",
-        )
+        self._arm_collect(state)
 
     def _route_result(self, wtag: str) -> None:
         """Move a settled window's result onto its subscription handle."""
@@ -404,11 +400,10 @@ class StandingCoordinator(Coordinator):
         if state.tag in self._results:
             self._route_result(state.tag)
 
-    def crash(self) -> None:
-        super().crash()
-        self._early.clear()
-
     def _replay_journal(self) -> None:
+        # Held-back early deliveries were process memory: the crash
+        # lost them (cells re-send on the resumed re-asks).
+        self._early.clear()
         # Subscriptions first: window-tag results republished below
         # need their subscription to route onto. The in-memory handle
         # survives (it is the reply channel); only truly unknown tags

@@ -8,10 +8,11 @@ Three layers of assurance, all driven by the seeded simulator:
   query phase; the run must end ``complete`` with a field total
   bit-for-bit equal to the crash-free control — recovery, not retry
   luck;
-* a property-style sweep that crashes the flat coordinator *after
-  every single journal record* (the ``on_append`` durability hook
-  fires right after the "disk write"), restarts it, and requires an
-  identical outcome plus an empty leakage audit at every index;
+* a property-style sweep that crashes each level — the flat
+  coordinator, the tree root, one region — *after every single record
+  of its journal* (the ``on_append`` durability hook fires right after
+  the "disk write"), restarts it, and requires an identical outcome
+  plus an empty leakage audit at every index;
 * a directory-service crash mid-rotation, which must still converge
   every cell to the new epoch after replaying its notice journal.
 """
@@ -116,25 +117,20 @@ class TestTreeCrashRecovery:
 
 
 class TestCrashAfterEveryJournalRecord:
-    """The WAL property: no append index is a bad time to die."""
+    """The WAL property: no append index is a bad time to die.
+
+    Swept at every level of the machine: the flat coordinator, the tree
+    root (crashed after each record of its own journal) and one region
+    (``regions[1]``, crashed after each of its records), each with and
+    without offline cells at the end of the roster.
+    """
 
     N_CELLS = 10
     NEIGHBORS = 4
-
-    def _reference(self):
-        from repro.fedquery import Coordinator, build_fleet
-        from repro.infrastructure import Network
-        from repro.sim import World
-
-        world = World(seed=41)
-        network = Network(world)
-        fleet = build_fleet(world, network, self.N_CELLS,
-                            purposes={"load-forecast"},
-                            ring_neighbors=self.NEIGHBORS)
-        coordinator = Coordinator(world, network, neighbors=self.NEIGHBORS)
-        result = coordinator.run(self._spec(), fleet.roster)
-        assert result.outcome == "complete"
-        return len(coordinator.journal), result.field_total
+    TREE_CELLS = 24
+    REGIONS = 3
+    # Records the crashed level journals per query, by offline cells.
+    TREE_RECORDS = {"root": {0: 5, 2: 9}, "region": {0: 10, 2: 12}}
 
     @staticmethod
     def _spec():
@@ -148,58 +144,89 @@ class TestCrashAfterEveryJournalRecord:
             where=Between("hour", 18, 21), value_field="watts", scale=10,
         )
 
-    def test_crash_after_each_record_always_recovers(self):
-        from repro.crypto import shamir
+    def _run(self, level, offline, crash_index=None):
+        """One query; optionally crash ``level`` after record ``crash_index``
+        and restart it 30 s later. Returns the result, the fleet, the
+        crashed level's journal and every journal in the system."""
         from repro.fedquery import (
             Coordinator,
-            QueryJournal,
+            HierarchicalCoordinator,
             build_fleet,
-            journal_elements,
+            build_fleet_sharded,
         )
         from repro.infrastructure import Network
         from repro.sim import World
 
-        records, reference_total = self._reference()
-        assert records > self.N_CELLS  # start + one partial per cell + done
-        spec = self._spec()
-        for crash_index in range(records):
-            world = World(seed=41)
-            network = Network(world)
+        world = World(seed=41)
+        network = Network(world)
+        if level == "flat":
             fleet = build_fleet(world, network, self.N_CELLS,
                                 purposes={"load-forecast"},
                                 ring_neighbors=self.NEIGHBORS)
-            holder = {}
-
-            def crash_after(index, record, at=crash_index):
-                if index != at:
+            coordinator = Coordinator(world, network,
+                                      neighbors=self.NEIGHBORS,
+                                      horizon_slack_s=300)
+            target, journals = coordinator, [coordinator.journal]
+        else:
+            fleet = build_fleet_sharded(world, network, self.TREE_CELLS,
+                                        shards=self.REGIONS,
+                                        purposes={"load-forecast"},
+                                        ring_neighbors=self.NEIGHBORS)
+            coordinator = HierarchicalCoordinator(
+                world, network, regions=self.REGIONS,
+                neighbors=self.NEIGHBORS, horizon_slack_s=300,
+            )
+            target = coordinator if level == "root" \
+                else coordinator.regions[1]
+            journals = [coordinator.journal] + [
+                region.journal for region in coordinator.regions
+            ]
+        for name in fleet.roster[len(fleet.roster) - offline:] \
+                if offline else []:
+            network.set_online(name, False)
+        if crash_index is not None:
+            def crash_after(index, record):
+                if index != crash_index:
                     return
                 # the record hit the log; the process dies before it
                 # can act on it (deferred so the in-flight handler and
                 # run()'s own fan-out finish their current step first)
-                world.loop.schedule_at(
-                    world.now, holder["coordinator"].crash,
-                    label="test.crash",
-                )
-                world.loop.schedule_in(
-                    30.0, holder["coordinator"].restart,
-                    label="test.restart",
-                )
+                world.loop.schedule_at(world.now, target.crash,
+                                       label="test.crash")
+                world.loop.schedule_in(30.0, target.restart,
+                                       label="test.restart")
 
-            journal = QueryJournal(on_append=crash_after)
-            holder["coordinator"] = Coordinator(
-                world, network, neighbors=self.NEIGHBORS,
-                journal=journal, horizon_slack_s=300,
-            )
-            result = holder["coordinator"].run(spec, fleet.roster)
-            assert result.outcome == "complete", crash_index
-            assert result.field_total == reference_total, crash_index
+            target.journal.on_append = crash_after
+        result = coordinator.run(self._spec(), fleet.roster)
+        return result, fleet, target.journal, journals
+
+    @pytest.mark.parametrize("offline", (0, 2))
+    @pytest.mark.parametrize("level", ("flat", "root", "region"))
+    def test_crash_after_each_record_always_recovers(self, level, offline):
+        from repro.crypto import shamir
+        from repro.fedquery import journal_elements
+
+        control, _, journal, _ = self._run(level, offline)
+        assert control.outcome == ("complete" if not offline else "partial")
+        records = len(journal)
+        if level == "flat":
+            # start + one partial per cell + done
+            assert records > self.N_CELLS
+        else:
+            assert records == self.TREE_RECORDS[level][offline]
+        spec = self._spec()
+        for crash_index in range(records):
+            result, fleet, _, journals = self._run(level, offline, crash_index)
+            assert result.outcome == control.outcome, crash_index
+            assert result.field_total == control.field_total, crash_index
             raw = {
                 shamir.encode_signed(round(float(
                     fleet.catalogs[name].query(spec.local_query()).scalar()
                 ) * spec.scale))
                 for name in fleet.roster
             }
-            assert not raw & journal_elements(journal), crash_index
+            for each in journals:
+                assert not raw & journal_elements(each), crash_index
 
 
 class TestDirectoryServiceCrash:

@@ -104,6 +104,27 @@ class TestX3dh:
                 eph_secret))
         assert len(secrets) == 3
 
+    @pytest.mark.parametrize("element", ("zero", "one", "p_minus_1", "p"))
+    def test_degenerate_elements_rejected(self, element):
+        from repro.crypto.signing import P
+
+        # P - 1 generates the order-2 subgroup: every shared element it
+        # yields is +-1, so a peer could pin the derived key.
+        bad = {"zero": 0, "one": 1, "p_minus_1": P - 1, "p": P}[element]
+        ring, peer = _ring("a"), _ring("b")
+        good = peer.exchange_public
+        calls = (
+            lambda: ring.pairwise_key(bad),
+            lambda: ring.wrap_object_key("obj", 1, bad),
+            lambda: ring.x3dh_initiate(bad, peer.signed_prekey_public, 5),
+            lambda: ring.x3dh_initiate(good, bad, 5),
+            lambda: ring.x3dh_respond(bad, good),
+            lambda: ring.x3dh_respond(good, bad),
+        )
+        for call in calls:
+            with pytest.raises(ConfigurationError):
+                call()
+
 
 class TestKeyDirectory:
     def test_ring_edges_cancel_in_a_masked_round(self):
